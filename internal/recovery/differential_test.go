@@ -1,9 +1,13 @@
 package recovery
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,6 +25,9 @@ import (
 // recovered state for every worker count — byte-identical datafile
 // images, identical lost/undone transaction counts, identical report
 // totals. Only recovery *time* may differ.
+
+var updateSerialPhases = flag.Bool("update-serial-phases", false,
+	"rewrite testdata/serial-phases-*.golden from the observed workers=1 phase timelines")
 
 // repCounts is the worker-count-invariant slice of a Report: everything
 // except the virtual-time fields.
@@ -266,6 +273,7 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/W%d", kind, w), func(t *testing.T) {
 				base, baseImages, baseRep := runDifferential(t, kind, w, 1)
 				checkPhases(t, baseRep)
+				checkSerialPhasesGolden(t, fmt.Sprintf("%s-W%d", kind, w), baseRep)
 				// The scenario must be non-trivial, or the differential
 				// proves nothing.
 				if base.RecordsApplied == 0 {
@@ -307,5 +315,35 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// checkSerialPhasesGolden pins the workers=1 phase timeline — every
+// phase's name, virtual start/end, scanned/applied/bytes counters and
+// fan-out — against testdata/serial-phases-<name>.golden, so the serial
+// virtual timing of every recovery kind cannot drift unnoticed.
+func checkSerialPhasesGolden(t *testing.T, name string, rep *Report) {
+	t.Helper()
+	var b strings.Builder
+	for _, ph := range rep.Phases {
+		fmt.Fprintf(&b, "%-14s start=%d end=%d scanned=%d records=%d bytes=%d workers=%d\n",
+			ph.Name, int64(ph.Start), int64(ph.End), ph.Scanned, ph.Records, ph.Bytes, ph.Workers)
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "serial-phases-"+name+".golden")
+	if *updateSerialPhases {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update-serial-phases): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("workers=1 phase timeline drifted from %s (regenerate with -update-serial-phases if deliberate):\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
