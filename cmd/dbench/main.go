@@ -99,96 +99,46 @@ import (
 // "scale" are opt-in: valid tokens but not part of "all".
 var experiments = []string{"t3", "f4", "f5", "t4", "t5", "f6", "f7", "chaos", "scale", "logical", "pareto", "replica"}
 
-// parseStandbys parses the -standbys flag: a comma-separated list of
-// positive first-tier stand-by counts for the replica sweep.
-func parseStandbys(list string) ([]int, error) {
-	var out []int
+// parseList parses the comma-separated value of flag -name. Each token
+// is normalised by norm, then parsed by parse; the first token parse
+// rejects fails the whole list with "bad -name value %q: want <want>",
+// quoting the normalised token.
+func parseList[T any](name, list, want string, norm func(string) string, parse func(string) (T, bool)) ([]T, error) {
+	var out []T
 	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		n, err := strconv.Atoi(tok)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -standbys value %q: want positive integers, e.g. 1,3", tok)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// parseReplModes parses the -repl-mode flag: a comma-separated list of
-// commit-acknowledgement modes (sync, async).
-func parseReplModes(list string) ([]standby.Mode, error) {
-	var out []standby.Mode
-	for _, tok := range strings.Split(list, ",") {
-		m, err := standby.ParseMode(strings.TrimSpace(strings.ToLower(tok)))
-		if err != nil {
-			return nil, fmt.Errorf("bad -repl-mode value %q: want sync or async", tok)
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-// parseReplLinks parses the -repl-link flag: a comma-separated list of
-// link profile names (lan, wan).
-func parseReplLinks(list string) ([]sim.LinkSpec, error) {
-	var out []sim.LinkSpec
-	for _, tok := range strings.Split(list, ",") {
-		spec, ok := core.LinkByName(strings.TrimSpace(strings.ToLower(tok)))
+		tok = norm(tok)
+		v, ok := parse(tok)
 		if !ok {
-			return nil, fmt.Errorf("bad -repl-link value %q: want lan or wan", tok)
+			return nil, fmt.Errorf("bad -%s value %q: want %s", name, tok, want)
 		}
-		out = append(out, spec)
+		out = append(out, v)
 	}
 	return out, nil
 }
 
-// parseParetoGrid parses the -pareto-grid flag: a comma-separated list of
-// Table 3 configuration names (empty = the default grid).
-func parseParetoGrid(list string) ([]core.RecoveryConfig, error) {
-	if strings.TrimSpace(list) == "" {
-		return nil, nil
-	}
-	var out []core.RecoveryConfig
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.ToUpper(strings.TrimSpace(tok))
-		cfg, ok := core.ConfigByName(tok)
-		if !ok {
-			return nil, fmt.Errorf("bad -pareto-grid value %q: want Table 3 config names, e.g. F1G3T1,F100G3T10", tok)
-		}
-		out = append(out, cfg)
-	}
-	return out, nil
+// asIs is the identity token normaliser: the token is quoted in errors
+// exactly as given, and parse normalises it itself.
+func asIs(tok string) string { return tok }
+
+// positiveInt parses a positive integer token.
+func positiveInt(tok string) (int, bool) {
+	n, err := strconv.Atoi(tok)
+	return n, err == nil && n >= 1
 }
 
-// parseWarehouses parses the -warehouses flag: a comma-separated list of
-// positive warehouse counts.
-func parseWarehouses(list string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		w, err := strconv.Atoi(tok)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad -warehouses value %q: want positive integers, e.g. 1,2,4,8", tok)
-		}
-		out = append(out, w)
-	}
-	return out, nil
+// replMode parses a commit-acknowledgement mode (sync, async).
+func replMode(tok string) (standby.Mode, bool) {
+	m, err := standby.ParseMode(strings.TrimSpace(strings.ToLower(tok)))
+	return m, err == nil
 }
 
-// parseRecoveryWorkers parses the -recovery-workers flag: a
-// comma-separated list of positive parallel-recovery worker counts.
-func parseRecoveryWorkers(list string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		n, err := strconv.Atoi(tok)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -recovery-workers value %q: want positive integers, e.g. 1,4", tok)
-		}
-		out = append(out, n)
-	}
-	return out, nil
+// replLink parses a link profile name (lan, wan).
+func replLink(tok string) (sim.LinkSpec, bool) {
+	return core.LinkByName(strings.TrimSpace(strings.ToLower(tok)))
 }
+
+// configName normalises a Table 3 configuration name token.
+func configName(tok string) string { return strings.ToUpper(strings.TrimSpace(tok)) }
 
 func main() {
 	args := os.Args[1:]
@@ -294,11 +244,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	warehouses, err := parseWarehouses(*warehousesList)
+	warehouses, err := parseList("warehouses", *warehousesList, "positive integers, e.g. 1,2,4,8", strings.TrimSpace, positiveInt)
 	if err != nil {
 		return err
 	}
-	workers, err := parseRecoveryWorkers(*recoveryWorkers)
+	workers, err := parseList("recovery-workers", *recoveryWorkers, "positive integers, e.g. 1,4", strings.TrimSpace, positiveInt)
 	if err != nil {
 		return err
 	}
@@ -476,9 +426,12 @@ func run(args []string) error {
 		fmt.Println(core.FormatLogical(rows))
 	}
 	if want["pareto"] {
-		grid, err := parseParetoGrid(*paretoGrid)
-		if err != nil {
-			return err
+		var grid []core.RecoveryConfig // empty = the default grid
+		if strings.TrimSpace(*paretoGrid) != "" {
+			grid, err = parseList("pareto-grid", *paretoGrid, "Table 3 config names, e.g. F1G3T1,F100G3T10", configName, core.ConfigByName)
+			if err != nil {
+				return err
+			}
 		}
 		rep, err := core.RunPareto(sc, core.ParetoConfig{Budget: *budget, Grid: grid}, progress)
 		if err != nil {
@@ -488,13 +441,13 @@ func run(args []string) error {
 	}
 	if want["replica"] {
 		grid := core.DefaultReplicaGrid()
-		if grid.Standbys, err = parseStandbys(*standbysList); err != nil {
+		if grid.Standbys, err = parseList("standbys", *standbysList, "positive integers, e.g. 1,3", strings.TrimSpace, positiveInt); err != nil {
 			return err
 		}
-		if grid.Modes, err = parseReplModes(*replModes); err != nil {
+		if grid.Modes, err = parseList("repl-mode", *replModes, "sync or async", asIs, replMode); err != nil {
 			return err
 		}
-		if grid.Links, err = parseReplLinks(*replLinks); err != nil {
+		if grid.Links, err = parseList("repl-link", *replLinks, "lan or wan", asIs, replLink); err != nil {
 			return err
 		}
 		rows, err := core.RunReplica(sc, grid, progress)

@@ -57,20 +57,42 @@ func TestParseExperimentsChaosOptIn(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags checks that bad flags fail before any campaign
+// runs. Rows with a msg pin the exact error text: every comma-list flag
+// has one bad-token row, quoting the token as its parser normalises it.
 func TestRunRejectsBadFlags(t *testing.T) {
-	cases := [][]string{
-		{"-scale", "huge"},
-		{"-exp", "f8"},
-		{"-exp", "t3,f44"},
-		{"-parallel", "-2"},
-		{"-nosuchflag"},
-		{"-exp", "chaos", "-crashpoints", "0"},
-		{"-exp", "t4", "-stats", "m.csv", "-sample-interval", "0s"},
-		{"-exp", "t4", "-awr", "-sample-interval", "-1s"},
+	cases := []struct {
+		args []string
+		msg  string // exact error text; "" = any error
+	}{
+		{args: []string{"-scale", "huge"}},
+		{args: []string{"-exp", "f8"}},
+		{args: []string{"-exp", "t3,f44"}},
+		{args: []string{"-parallel", "-2"}},
+		{args: []string{"-nosuchflag"}},
+		{args: []string{"-exp", "chaos", "-crashpoints", "0"}},
+		{args: []string{"-exp", "t4", "-stats", "m.csv", "-sample-interval", "0s"}},
+		{args: []string{"-exp", "t4", "-awr", "-sample-interval", "-1s"}},
+		{args: []string{"-warehouses", "1, 0"},
+			msg: `bad -warehouses value "0": want positive integers, e.g. 1,2,4,8`},
+		{args: []string{"-recovery-workers", "x"},
+			msg: `bad -recovery-workers value "x": want positive integers, e.g. 1,4`},
+		{args: []string{"-exp", "replica", "-standbys", "0"},
+			msg: `bad -standbys value "0": want positive integers, e.g. 1,3`},
+		{args: []string{"-exp", "replica", "-repl-mode", "sync, Semi"},
+			msg: `bad -repl-mode value " Semi": want sync or async`},
+		{args: []string{"-exp", "replica", "-repl-link", "moon"},
+			msg: `bad -repl-link value "moon": want lan or wan`},
+		{args: []string{"-exp", "pareto", "-pareto-grid", "f1g3t1,f9g9t9"},
+			msg: `bad -pareto-grid value "F9G9T9": want Table 3 config names, e.g. F1G3T1,F100G3T10`},
 	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v): expected error", args)
+	for _, c := range cases {
+		err := run(c.args)
+		switch {
+		case err == nil:
+			t.Errorf("run(%v): expected error", c.args)
+		case c.msg != "" && err.Error() != c.msg:
+			t.Errorf("run(%v): error %q, want %q", c.args, err, c.msg)
 		}
 	}
 }

@@ -127,7 +127,7 @@ func (m *Manager) FlashbackTable(p *sim.Proc, table string, toSCN redo.SCN) (*Re
 			continue
 		}
 		ref := tbl.BlockFor(rec.Key)
-		m.undoToImage(rec, ref, stamp)
+		UndoToImage(rec, ref, stamp)
 		rep.RecordsApplied++
 		rep.BytesApplied += rec.Size()
 		touched[ref] = true

@@ -1,15 +1,25 @@
-// Parallel recovery pipeline. The redo stream is partitioned by block —
+// The recovery apply pipeline. Every recovery kind that replays redo —
+// instance, media, tablespace, point-in-time and failover — runs its
+// forward and undo passes through one streamApply. With
+// RecoveryParallelism = N > 1 the redo stream is partitioned by block —
 // storage.BlockRef.Route, the same hash the buffer cache shards with —
 // onto N apply workers running as simulation processes, while the
 // coordinator scans archives and the online log ahead of them. One block
 // maps to exactly one worker and each worker consumes its queue in
-// arrival order, so the per-block SCN apply order of serial recovery is
-// preserved; workers charge their apply CPU against the instance's CPU
-// slots, so the speedup is bounded by the configured CPU count. The crew
-// drains to a barrier before every DDL replay and phase transition,
-// which keeps the phase timeline contiguous-by-construction and nests
-// worker spans inside their phase's span. With RecoveryParallelism <= 1
-// none of this code runs: the serial paths are untouched.
+// arrival order, so the per-block SCN apply order is the stream order;
+// workers charge their apply CPU against the instance's CPU slots, so the
+// speedup is bounded by the configured CPU count. The crew drains to a
+// barrier before every DDL replay and phase transition, which keeps the
+// phase timeline contiguous-by-construction and nests worker spans inside
+// their phase's span.
+//
+// At N = 1 there is no crew: no worker processes are started and data
+// records apply inline on the coordinator, charged through the same
+// chunkedSleep as the scan bookkeeping. Nothing can overlap the scan, so
+// the redo range is read in full before it is fed (no pipelining): fed
+// during the scan, the apply charges would land in the archive-replay
+// phase instead of redo replay. The one chunked-CPU accumulator also
+// carries the forward pass's leftover charge into the undo pass.
 package recovery
 
 import (
@@ -22,7 +32,7 @@ import (
 	"dbench/internal/trace"
 )
 
-// workerCount returns the recovery apply fan-out (1 = serial), read
+// workerCount returns the recovery apply fan-out (1 = no crew), read
 // from the dynamic configuration at recovery start so an ALTER SYSTEM
 // SET recovery_parallelism applies to the next recovery.
 func (m *Manager) workerCount() int {
@@ -80,9 +90,10 @@ type applyWorker struct {
 	span  trace.SpanID
 }
 
-// newApplyCrew starts n apply workers on the instance's kernel.
-func (m *Manager) newApplyCrew(p *sim.Proc, rep *Report, tl *timeline, n int) *applyCrew {
-	c := &applyCrew{m: m, rep: rep, tl: tl, n: n, touched: make(map[storage.BlockRef]bool)}
+// newApplyCrew starts n apply workers on the instance's kernel; applied
+// blocks are recorded in touched.
+func (m *Manager) newApplyCrew(p *sim.Proc, rep *Report, tl *timeline, n int, touched map[storage.BlockRef]bool) *applyCrew {
+	c := &applyCrew{m: m, rep: rep, tl: tl, n: n, touched: touched}
 	k := p.Kernel()
 	for i := 0; i < n; i++ {
 		w := &applyWorker{id: i}
@@ -137,10 +148,7 @@ func (c *applyCrew) runWorker(p *sim.Proc, w *applyWorker) {
 		w.queue = nil
 		for i := range batch {
 			it := &batch[i]
-			if c.m.applyToImage(it.rec, it.ref) {
-				c.rep.RecordsApplied++
-				c.rep.BytesApplied += it.rec.Size()
-				c.touched[it.ref] = true
+			if applyRecord(c.rep, c.touched, it.rec, it.ref) {
 				owed += cost
 			}
 			done++
@@ -216,19 +224,38 @@ func (c *applyCrew) shutdown(p *sim.Proc) {
 	c.wg.Wait(p)
 }
 
-// streamApply is the coordinator side of the parallel pipeline: it scans
+// applyRecord replays one data record onto its durable image; a record
+// that changed the image is counted in rep and its block marked touched.
+// It reports whether the record was applied (and so owes its apply CPU).
+func applyRecord(rep *Report, touched map[storage.BlockRef]bool, rec *redo.Record, ref storage.BlockRef) bool {
+	if !ApplyToImage(rec, ref) {
+		return false
+	}
+	rep.RecordsApplied++
+	rep.BytesApplied += rec.Size()
+	touched[ref] = true
+	return true
+}
+
+// streamApply is the coordinator side of the apply pipeline: it scans
 // redo in SCN order (batch by batch when the scan itself is pipelined,
 // e.g. archive by archive), keeps bookkeeping and catalog work on the
-// coordinator, and routes data changes to the crew. Loser candidacy is
-// decided with the catalog state at scan position — exactly what serial
-// replay sees — and filtered against the full stream's commit/abort set
-// once the scan completes.
+// coordinator, and applies data changes — routed to the crew, or inline
+// when there is none. Loser candidacy is decided with the catalog state
+// at scan position and filtered against the full stream's commit/abort
+// set once the scan completes: a candidate's transaction may commit in a
+// later batch.
 type streamApply struct {
-	m              *Manager
-	rep            *Report
-	tl             *timeline
-	crew           *applyCrew
+	m    *Manager
+	rep  *Report
+	tl   *timeline
+	n    int
+	crew *applyCrew // nil at n = 1: records apply inline
+	// cs charges the coordinator's CPU (cost per applied record): scan
+	// bookkeeping, DDL replay, inline applies and the undo pass.
 	cs             *chunkedSleep
+	cost           time.Duration
+	touched        map[storage.BlockRef]bool
 	includeOffline bool
 	// only restricts the pass to a set of datafiles (media recovery of
 	// one file or one tablespace); nil means a whole-database pass
@@ -236,116 +263,166 @@ type streamApply struct {
 	// iterated, so map order cannot perturb determinism.
 	only     map[*storage.Datafile]bool
 	finished map[redo.TxnID]bool
-	cands    []loserCand
+	// cands are the applied data records that may need the undo pass, in
+	// stream order.
+	cands []*redo.Record
 }
 
-// loserCand is a routed data record that may need the undo pass:
-// whether it actually is a loser is only known once the whole stream has
-// been scanned (its transaction's commit may come later).
-type loserCand struct {
-	rec    *redo.Record
-	active bool
-}
-
+// newStreamApply opens an apply pass at fan-out n, starting the crew
+// only when n > 1.
 func (m *Manager) newStreamApply(p *sim.Proc, rep *Report, tl *timeline, includeOffline bool, only map[*storage.Datafile]bool, n int) *streamApply {
 	sa := &streamApply{
-		m: m, rep: rep, tl: tl,
+		m: m, rep: rep, tl: tl, n: n,
 		cs:             &chunkedSleep{p: p},
+		cost:           m.in.Config().Cost.RedoApplyPerRecord,
+		touched:        make(map[storage.BlockRef]bool),
 		includeOffline: includeOffline,
 		only:           only,
 		finished:       make(map[redo.TxnID]bool),
 	}
-	sa.crew = m.newApplyCrew(p, rep, tl, n)
+	if n > 1 {
+		sa.crew = m.newApplyCrew(p, rep, tl, n, sa.touched)
+	}
 	return sa
+}
+
+// scan reads redo from SCN `from` to the end of redo into sink (sa.feed
+// or a filter in front of it). With a crew the scan is pipelined, each
+// segment handed over as soon as it is read; without one the whole range
+// is read first and handed over once, so no apply charge lands in the
+// archive-replay phase.
+func (sa *streamApply) scan(p *sim.Proc, from redo.SCN, sink func(*sim.Proc, []redo.Record)) error {
+	if sa.crew != nil {
+		_, err := sa.m.redoRange(p, sa.rep, from, sa.tl, sink)
+		if err != nil {
+			sa.crew.abort(p)
+		}
+		return err
+	}
+	recs, err := sa.m.redoRange(p, sa.rep, from, sa.tl, nil)
+	if err != nil {
+		return err
+	}
+	sink(p, recs)
+	return nil
+}
+
+// covers reports whether a block takes part in the pass: one of the
+// target files for media recovery, else any participating file.
+func (sa *streamApply) covers(ref storage.BlockRef) bool {
+	if sa.only != nil {
+		return sa.only[ref.File]
+	}
+	return participates(ref.File, sa.includeOffline)
+}
+
+// apply replays one data record: routed to its block's worker when a
+// crew exists, else applied inline on the coordinator.
+func (sa *streamApply) apply(p *sim.Proc, rec *redo.Record, ref storage.BlockRef) {
+	if sa.crew != nil {
+		sa.crew.dispatch(p, rec, ref)
+		return
+	}
+	if applyRecord(sa.rep, sa.touched, rec, ref) {
+		sa.cs.add(sa.cost)
+	}
 }
 
 // feed scans one batch of redo records in SCN order. DDL is a barrier:
 // the crew drains before the dictionary changes, so refFor resolves
-// every record against the same catalog state serial replay would.
+// every record against the catalog state at its stream position.
 func (sa *streamApply) feed(p *sim.Proc, recs []redo.Record) {
-	sa.tl.setWorkers(sa.crew.n)
-	cost := sa.m.in.Config().Cost.RedoApplyPerRecord
+	sa.tl.setWorkers(sa.n)
+	// Mark the batch's commits and aborts first: a change whose
+	// transaction finishes by the end of the batch is never a loser, so
+	// it need not become an undo candidate.
+	for i := range recs {
+		if recs[i].Op == redo.OpCommit || recs[i].Op == redo.OpAbort {
+			sa.finished[recs[i].Txn] = true
+		}
+	}
 	for i := range recs {
 		rec := &recs[i]
 		sa.rep.RecordsScanned++
-		if rec.Op == redo.OpCommit || rec.Op == redo.OpAbort {
-			sa.finished[rec.Txn] = true
-		}
 		if sa.only != nil {
 			// Media recovery: every scanned record costs a quarter
 			// charge; only the target files' changes are routed.
-			sa.cs.add(cost / 4)
+			sa.cs.add(sa.cost / 4)
 			if !rec.IsDataChange() {
 				continue
 			}
 			ref, ok := sa.m.refFor(rec)
-			if !ok || !sa.only[ref.File] {
+			if !ok || !sa.covers(ref) {
 				continue
 			}
-			sa.crew.dispatch(p, rec, ref)
-			sa.cands = append(sa.cands, loserCand{rec: rec, active: sa.m.in.Txns().IsActive(rec.Txn)})
+			sa.apply(p, rec, ref)
+			// A transaction still live in the open instance finishes on
+			// its own. Read after the apply: an inline apply's charge may
+			// yield to live transactions.
+			if !sa.finished[rec.Txn] && !sa.m.in.Txns().IsActive(rec.Txn) {
+				sa.cands = append(sa.cands, rec)
+			}
 			continue
 		}
 		if rec.Op == redo.OpDDL {
-			sa.crew.drain(p)
-			sa.cs.add(cost)
-			sa.m.replayDDL(rec.Meta)
+			if sa.crew != nil {
+				sa.crew.drain(p)
+			}
+			sa.cs.add(sa.cost)
+			ReplayDDL(sa.m.in.Catalog(), sa.m.in.DB(), rec.Meta)
 			continue
 		}
 		if !rec.IsDataChange() {
-			sa.cs.add(cost / 4)
+			sa.cs.add(sa.cost / 4)
 			continue
 		}
 		ref, ok := sa.m.refFor(rec)
-		if !ok || !participates(ref.File, sa.includeOffline) {
+		if !ok || !sa.covers(ref) {
 			continue
 		}
-		sa.crew.dispatch(p, rec, ref)
-		sa.cands = append(sa.cands, loserCand{rec: rec})
+		sa.apply(p, rec, ref)
+		if !sa.finished[rec.Txn] {
+			sa.cands = append(sa.cands, rec)
+		}
 	}
 }
 
-// finish completes the parallel pass: final drain and worker shutdown,
-// then the undo pass — serial on the coordinator, re-resolving each
-// record against the post-DDL catalog exactly like serial recovery —
-// and the block-write phase fanned out across the workers' count.
+// finish completes the pass: final drain and worker shutdown (when there
+// is a crew), then the undo pass — on the coordinator, re-resolving each
+// record against the post-DDL catalog — and the block-write phase fanned
+// out across the pass's fan-out. Without a crew the forward pass's
+// unpaid CPU charge carries over into the undo pass; with one it is paid
+// before the barrier, so the undo pass starts with an empty accumulator.
 func (sa *streamApply) finish(p *sim.Proc, stamp redo.SCN) error {
-	sa.cs.flush()
-	sa.crew.close(p)
-	cost := sa.m.in.Config().Cost
+	if sa.crew != nil {
+		sa.cs.flush()
+		sa.crew.close(p)
+	}
 	sa.tl.phase(p, PhaseUndoRollback)
-	cs := &chunkedSleep{p: p}
 	losers := make(map[redo.TxnID]bool)
 	var loserRecs []*redo.Record
-	for _, c := range sa.cands {
-		if sa.finished[c.rec.Txn] || c.active {
+	for _, rec := range sa.cands {
+		if sa.finished[rec.Txn] {
 			continue
 		}
-		losers[c.rec.Txn] = true
-		loserRecs = append(loserRecs, c.rec)
+		losers[rec.Txn] = true
+		loserRecs = append(loserRecs, rec)
 	}
 	for i := len(loserRecs) - 1; i >= 0; i-- {
 		rec := loserRecs[i]
 		ref, ok := sa.m.refFor(rec)
-		if !ok {
+		if !ok || !sa.covers(ref) {
 			continue
 		}
-		if sa.only != nil {
-			if !sa.only[ref.File] {
-				continue
-			}
-		} else if !participates(ref.File, sa.includeOffline) {
-			continue
-		}
-		sa.m.undoToImage(rec, ref, stamp)
-		sa.crew.touched[ref] = true
-		cs.add(cost.RedoApplyPerRecord)
+		UndoToImage(rec, ref, stamp)
+		sa.touched[ref] = true
+		sa.cs.add(sa.cost)
 	}
 	sa.rep.LosersRolledBack = len(losers)
-	cs.flush()
+	sa.cs.flush()
 	sa.tl.phase(p, PhaseBlockWrites)
-	sa.tl.setWorkers(sa.crew.n)
-	return sa.m.chargeBlockPassesParallel(p, sa.crew.touched, sa.crew.n, sa.tl)
+	sa.tl.setWorkers(sa.n)
+	return sa.m.chargeBlockPassesParallel(p, sa.touched, sa.n, sa.tl)
 }
 
 // chargeBlockPassesParallel fans the recovery block read+write passes

@@ -1,9 +1,9 @@
 // Failover promotion: the streaming standby's activation runs on the
-// same recovery machinery as every other path — the received-but-unapplied
-// stream tail is rolled forward (on the parallel apply crew when
-// configured), transactions the stream never finished are rolled back in
-// reverse global SCN order, and the database opens RESETLOGS as the new
-// primary. The package-level image helpers are exported here so the
+// same apply pass as every other recovery kind — the received but
+// unapplied stream tail is rolled forward (on the apply crew when
+// RecoveryParallelism > 1, inline otherwise), transactions the stream
+// never finished are rolled back in reverse global SCN order, and the
+// database opens RESETLOGS as the new primary. The package-level image helpers are exported here so the
 // standby's continuous managed recovery applies records with exactly the
 // semantics the recovery paths use; any drift between the two would break
 // the failover differential (promoted images must be bit-identical to a
@@ -82,9 +82,9 @@ func ReplayDDL(cat *catalog.Catalog, db *storage.DB, stmt string) {
 // saw no commit or abort for (arrival order), and scn the standby's
 // received watermark — the SCN the new incarnation starts after.
 //
-// The tail is rolled forward through applyAndUndo, so with
-// RecoveryParallelism > 1 it rides the parallel apply crew like any crash
-// recovery. Pending records whose transaction commits inside the tail are
+// The tail is rolled forward through applyAndUndo, the apply pass crash
+// and point-in-time recovery use, so it rides the apply crew exactly when
+// they do. Pending records whose transaction commits inside the tail are
 // dropped from the undo set; the rest are undone after the tail's own
 // losers, which keeps the whole undo pass in reverse global SCN order
 // (tail SCNs are all above pending SCNs).
@@ -105,7 +105,7 @@ func (m *Manager) Failover(p *sim.Proc, tail, pending []redo.Record, scn redo.SC
 		}
 	}
 	sort.SliceStable(undo, func(i, j int) bool { return undo[i].SCN < undo[j].SCN })
-	if err := m.applyAndUndoPending(p, rep, tail, undo, true, scn, tl); err != nil {
+	if err := m.applyAndUndo(p, rep, tail, undo, true, scn, tl); err != nil {
 		return nil, err
 	}
 	tl.phase(p, PhaseOpen)

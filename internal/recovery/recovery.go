@@ -192,7 +192,7 @@ func (m *Manager) InstanceRecovery(p *sim.Proc) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.applyAndUndo(p, rep, recs, false, log.FlushedSCN(), tl); err != nil {
+	if err := m.applyAndUndo(p, rep, recs, nil, false, log.FlushedSCN(), tl); err != nil {
 		return nil, err
 	}
 	tl.phase(p, PhaseOpen)
@@ -249,82 +249,26 @@ func (m *Manager) recoverDatafile(p *sim.Proc, name string, f *storage.Datafile,
 // rollForwardFiles is the media-recovery roll-forward: replay redo from
 // `from` to the current end of flushed redo for exactly the given file
 // set, then undo transactions that vanished without a commit/abort
-// record. Shared by single-datafile and tablespace recovery; with
+// record. Shared by single-datafile and tablespace recovery. With
 // RecoveryParallelism > 1 the forward pass is pipelined onto the apply
 // crew (each archived log's records are routed as soon as they are read,
 // so workers replay one archive while the coordinator pays the
 // open-and-read cost of the next). Returns the end SCN the files are now
 // consistent at.
 func (m *Manager) rollForwardFiles(p *sim.Proc, files map[*storage.Datafile]bool, from redo.SCN, rep *Report, tl *timeline) (redo.SCN, error) {
-	in := m.in
-	end := in.Log().FlushedSCN()
-	if n := m.workerCount(); n > 1 {
-		sa := m.newStreamApply(p, rep, tl, false, files, n)
-		if _, err := m.redoRange(p, rep, from, tl, sa.feed); err != nil {
-			sa.crew.abort(p)
-			return 0, err
-		}
-		if err := sa.finish(p, end); err != nil {
-			return 0, err
-		}
-		return end, nil
-	}
-	recs, err := m.redoRange(p, rep, from, tl, nil)
-	if err != nil {
+	end := m.in.Log().FlushedSCN()
+	sa := m.newStreamApply(p, rep, tl, false, files, m.workerCount())
+	if err := sa.scan(p, from, sa.feed); err != nil {
 		return 0, err
 	}
-
-	cs := &chunkedSleep{p: p}
-	cost := in.Config().Cost
-
-	finished := redo.FinishedTxns(recs)
-	touched := make(map[storage.BlockRef]bool)
-	losers := make(map[redo.TxnID]bool)
-	var loserRecs []redo.Record
-	for i := range recs {
-		rec := &recs[i]
-		rep.RecordsScanned++
-		cs.add(cost.RedoApplyPerRecord / 4)
-		if !rec.IsDataChange() {
-			continue
-		}
-		ref, ok := m.refFor(rec)
-		if !ok || !files[ref.File] {
-			continue
-		}
-		if m.applyToImage(rec, ref) {
-			rep.RecordsApplied++
-			rep.BytesApplied += rec.Size()
-			touched[ref] = true
-			cs.add(cost.RedoApplyPerRecord)
-		}
-		if !finished[rec.Txn] && !in.Txns().IsActive(rec.Txn) {
-			losers[rec.Txn] = true
-			loserRecs = append(loserRecs, *rec)
-		}
-	}
-	tl.phase(p, PhaseUndoRollback)
-	for i := len(loserRecs) - 1; i >= 0; i-- {
-		rec := &loserRecs[i]
-		ref, ok := m.refFor(rec)
-		if !ok || !files[ref.File] {
-			continue
-		}
-		m.undoToImage(rec, ref, end)
-		touched[ref] = true
-		cs.add(cost.RedoApplyPerRecord)
-	}
-	rep.LosersRolledBack = len(losers)
-	cs.flush()
-	tl.phase(p, PhaseBlockWrites)
-	if err := m.chargeBlockPasses(p, touched); err != nil {
+	if err := sa.finish(p, end); err != nil {
 		return 0, err
 	}
 	return end, nil
 }
 
-// finishDatafile is the shared tail of serial and parallel media
-// recovery: stamp the file consistent as of `end` and bring it online.
+// finishDatafile is the shared tail of media recovery: stamp the file
+// consistent as of `end` and bring it online.
 func (m *Manager) finishDatafile(p *sim.Proc, name string, f *storage.Datafile, rep *Report, tl *timeline, end redo.SCN) (*Report, error) {
 	tl.phase(p, PhaseOpen)
 	f.CkptSCN = end
@@ -495,58 +439,35 @@ func (m *Manager) PointInTime(p *sim.Proc, untilSCN redo.SCN) (*Report, error) {
 	}
 	tl.phase(p, PhaseRestore)
 	p.Sleep(in.Config().Cost.BackupRestoreOverhead)
-	if n := m.workerCount(); n > 1 {
-		// Parallel point-in-time recovery restores datafiles on n
-		// concurrent workers, then streams the redo scan into the apply
-		// crew, filtering at the stop point: records past untilSCN are
-		// never routed and their commits are counted as lost.
-		tl.setWorkers(n)
-		if err := b.RestoreAllWorkers(p, in.FS(), in.DB(), in.Catalog(), n); err != nil {
-			return nil, err
-		}
-		sa := m.newStreamApply(p, rep, tl, true, nil, n)
-		if _, err := m.redoRange(p, rep, b.SCN+1, tl, func(sp *sim.Proc, batch []redo.Record) {
-			cut := len(batch)
-			for i := range batch {
-				if batch[i].SCN > untilSCN {
-					cut = i
-					break
-				}
+	// Datafiles restore on n concurrent workers (inline at n = 1), then
+	// the redo scan from the backup SCN feeds the apply pass, filtered at
+	// the stop point: records past untilSCN are never applied and their
+	// commits are counted as lost.
+	n := m.workerCount()
+	tl.setWorkers(n)
+	if err := b.RestoreAllWorkers(p, in.FS(), in.DB(), in.Catalog(), n); err != nil {
+		return nil, err
+	}
+	sa := m.newStreamApply(p, rep, tl, true, nil, n)
+	if err := sa.scan(p, b.SCN+1, func(sp *sim.Proc, batch []redo.Record) {
+		cut := len(batch)
+		for i := range batch {
+			if batch[i].SCN > untilSCN {
+				cut = i
+				break
 			}
-			sa.feed(sp, batch[:cut])
-			for i := cut; i < len(batch); i++ {
-				if batch[i].Op == redo.OpCommit {
-					rep.LostCommits++
-				}
-			}
-		}); err != nil {
-			sa.crew.abort(p)
-			return nil, err
 		}
-		if err := sa.finish(p, untilSCN); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := b.RestoreAll(p, in.FS(), in.DB(), in.Catalog()); err != nil {
-			return nil, err
-		}
-		// Gather redo from the backup SCN forward and count what will be
-		// lost beyond the stop point.
-		recs, err := m.redoRange(p, rep, b.SCN+1, tl, nil)
-		if err != nil {
-			return nil, err
-		}
-		var apply []redo.Record
-		for _, rec := range recs {
-			if rec.SCN <= untilSCN {
-				apply = append(apply, rec)
-			} else if rec.Op == redo.OpCommit {
+		sa.feed(sp, batch[:cut])
+		for i := cut; i < len(batch); i++ {
+			if batch[i].Op == redo.OpCommit {
 				rep.LostCommits++
 			}
 		}
-		if err := m.applyAndUndo(p, rep, apply, true, untilSCN, tl); err != nil {
-			return nil, err
-		}
+	}); err != nil {
+		return nil, err
+	}
+	if err := sa.finish(p, untilSCN); err != nil {
+		return nil, err
 	}
 	tl.phase(p, PhaseOpen)
 	// Open RESETLOGS: discard post-untilSCN redo, new log incarnation.
@@ -677,19 +598,6 @@ func (m *Manager) refFor(rec *redo.Record) (storage.BlockRef, bool) {
 	return tbl.BlockFor(rec.Key), true
 }
 
-// applyToImage applies one data record to the durable image, honouring
-// the block-SCN idempotence guard. It reports whether the record was
-// applied.
-func (m *Manager) applyToImage(rec *redo.Record, ref storage.BlockRef) bool {
-	return ApplyToImage(rec, ref)
-}
-
-// undoToImage applies a before-image during the rollback pass, stamping
-// the image with the recovery end SCN.
-func (m *Manager) undoToImage(rec *redo.Record, ref storage.BlockRef, stamp redo.SCN) {
-	UndoToImage(rec, ref, stamp)
-}
-
 // participates decides whether a file takes part in a whole-database
 // recovery pass. Offline files are skipped during crash recovery (their
 // own media recovery picks them up later) but included in point-in-time
@@ -707,89 +615,19 @@ func participates(f *storage.Datafile, includeOffline bool) bool {
 // applyAndUndo runs the forward pass over recs and then rolls back losers
 // — transactions with changes but no commit/abort record within recs.
 // stamp is the SCN recovery ends at (images touched by undo are stamped
-// with it). With RecoveryParallelism > 1 the forward pass is fanned out
+// with it). `pending` pre-seeds the undo set with already-applied records
+// (SCN order, all below recs' SCNs) of transactions known unfinished,
+// which failover promotion must roll back alongside the tail's own
+// losers; they are undone last, so the undo pass stays in reverse global
+// SCN order. With RecoveryParallelism > 1 the forward pass is fanned out
 // across the apply crew; results are identical, only the timing differs.
-func (m *Manager) applyAndUndo(p *sim.Proc, rep *Report, recs []redo.Record, includeOffline bool, stamp redo.SCN, tl *timeline) error {
-	return m.applyAndUndoPending(p, rep, recs, nil, includeOffline, stamp, tl)
-}
-
-// applyAndUndoPending is applyAndUndo with a pre-seeded undo set:
-// `pending` holds already-applied records (SCN order, all below recs'
-// SCNs) of transactions known unfinished, which failover promotion must
-// roll back alongside the tail's own losers. They are undone last —
-// i.e. the undo pass stays in reverse global SCN order.
-func (m *Manager) applyAndUndoPending(p *sim.Proc, rep *Report, recs, pending []redo.Record, includeOffline bool, stamp redo.SCN, tl *timeline) error {
-	if n := m.workerCount(); n > 1 {
-		sa := m.newStreamApply(p, rep, tl, includeOffline, nil, n)
-		for i := range pending {
-			sa.cands = append(sa.cands, loserCand{rec: &pending[i]})
-		}
-		sa.feed(p, recs)
-		return sa.finish(p, stamp)
-	}
-	in := m.in
-	cost := in.Config().Cost
-	cs := &chunkedSleep{p: p}
-
-	finished := redo.FinishedTxns(recs)
-	touched := make(map[storage.BlockRef]bool)
-	var loserRecs []redo.Record
-	losers := make(map[redo.TxnID]bool)
+func (m *Manager) applyAndUndo(p *sim.Proc, rep *Report, recs, pending []redo.Record, includeOffline bool, stamp redo.SCN, tl *timeline) error {
+	sa := m.newStreamApply(p, rep, tl, includeOffline, nil, m.workerCount())
 	for i := range pending {
-		losers[pending[i].Txn] = true
-		loserRecs = append(loserRecs, pending[i])
+		sa.cands = append(sa.cands, &pending[i])
 	}
-
-	// Forward pass: apply everything (DDL included).
-	for i := range recs {
-		rec := &recs[i]
-		rep.RecordsScanned++
-		if rec.Op == redo.OpDDL {
-			cs.add(cost.RedoApplyPerRecord)
-			m.replayDDL(rec.Meta)
-			continue
-		}
-		if !rec.IsDataChange() {
-			cs.add(cost.RedoApplyPerRecord / 4)
-			continue
-		}
-		ref, ok := m.refFor(rec)
-		if !ok {
-			continue
-		}
-		if !participates(ref.File, includeOffline) {
-			continue
-		}
-		if m.applyToImage(rec, ref) {
-			rep.RecordsApplied++
-			rep.BytesApplied += rec.Size()
-			touched[ref] = true
-			cs.add(cost.RedoApplyPerRecord)
-		}
-		if !finished[rec.Txn] {
-			losers[rec.Txn] = true
-			loserRecs = append(loserRecs, *rec)
-		}
-	}
-	// Backward pass: undo losers in reverse SCN order.
-	tl.phase(p, PhaseUndoRollback)
-	for i := len(loserRecs) - 1; i >= 0; i-- {
-		rec := &loserRecs[i]
-		ref, ok := m.refFor(rec)
-		if !ok {
-			continue
-		}
-		if !participates(ref.File, includeOffline) {
-			continue
-		}
-		m.undoToImage(rec, ref, stamp)
-		touched[ref] = true
-		cs.add(cost.RedoApplyPerRecord)
-	}
-	rep.LosersRolledBack = len(losers)
-	cs.flush()
-	tl.phase(p, PhaseBlockWrites)
-	return m.chargeBlockPasses(p, touched)
+	sa.feed(p, recs)
+	return sa.finish(p, stamp)
 }
 
 // ReapplyDataRecords re-applies data-change records through the same
@@ -812,18 +650,11 @@ func (m *Manager) ReapplyDataRecords(recs []redo.Record) int {
 		if !ok || ref.File.Lost() {
 			continue
 		}
-		if m.applyToImage(rec, ref) {
+		if ApplyToImage(rec, ref) {
 			n++
 		}
 	}
 	return n
-}
-
-// replayDDL re-executes a logged DDL statement against the dictionary
-// during roll-forward (e.g. a DROP TABLE that happened after the backup
-// but before the recovery target).
-func (m *Manager) replayDDL(stmt string) {
-	ReplayDDL(m.in.Catalog(), m.in.DB(), stmt)
 }
 
 func firstWord(s string) string {

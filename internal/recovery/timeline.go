@@ -36,9 +36,11 @@ type Phase struct {
 	Records int
 	Bytes   int64
 	// Workers is the apply/IO fan-out active during the phase (1 for
-	// coordinator-only phases and all of serial recovery). The phase
-	// interval is still the coordinator's contiguous wall-clock slice;
-	// worker activity shows up as child spans of the phase span.
+	// coordinator-only phases, and for every phase at
+	// RecoveryParallelism 1, where records apply inline on the
+	// coordinator). The phase interval is still the coordinator's
+	// contiguous wall-clock slice; worker activity shows up as child
+	// spans of the phase span.
 	Workers int
 }
 
