@@ -143,8 +143,10 @@ func BenchmarkFigure7LostTransactions(b *testing.B) {
 // outside the timer, then b.N New-Orders execute round-robin over the
 // warehouses. The buffer cache keeps its per-warehouse share so the
 // number measures the transaction path (partition routing, sharded
-// cache, striped locks), not cache starvation. W=1 is the CI regression
-// gate (see BENCH_NEWORDER.json); W=4/16 track the cost of scale.
+// cache, striped locks), not cache starvation. The kernel stops the
+// instant the last New-Order returns, so no idle virtual time (PMON and
+// timer wake-ups) is timed. W=1 is the CI regression gate (see
+// BENCH_NEWORDER.json); W=4/16 track the cost of scale.
 func benchmarkNewOrder(b *testing.B, warehouses int) {
 	k := sim.NewKernel(42)
 	fs := simdisk.NewFS(
@@ -191,9 +193,11 @@ func benchmarkNewOrder(b *testing.B, warehouses int) {
 			}
 			return nil
 		}()
+		k.Stop() // end the timed region with the last New-Order
 	})
 	k.Run(sim.Time(1000 * time.Hour))
 	b.StopTimer()
+	k.KillAll()
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}

@@ -643,8 +643,9 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 		res.Consistent = len(viols) == 0
 		k.Stop()
 	})
-	k.Run(sim.Time(200 * time.Hour))
-	k.KillAll()
+	if err := k.Finish(sim.Time(200 * time.Hour)); err != nil {
+		return nil, err
+	}
 	if runErr != nil {
 		return nil, runErr
 	}

@@ -225,8 +225,9 @@ func RunCatalogScan(seed int64, warehouses int) (*ScanReport, error) {
 		}
 		rep.FlashbackOK = before == after
 	})
-	k.Run(sim.Time(200 * time.Hour))
-	k.KillAll()
+	if err := k.Finish(sim.Time(200 * time.Hour)); err != nil {
+		return nil, fmt.Errorf("core: recover --scan: %w", err)
+	}
 	if runErr != nil {
 		return nil, fmt.Errorf("core: recover --scan: %w", runErr)
 	}

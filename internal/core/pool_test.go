@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -8,7 +9,9 @@ import (
 	"time"
 
 	"dbench/internal/faults"
+	"dbench/internal/sim"
 	"dbench/internal/tpcc"
+	"dbench/internal/trace"
 )
 
 // tinyScale is the smallest campaign scale that still loads, runs TPC-C,
@@ -107,6 +110,50 @@ func TestRunSpecsFailFast(t *testing.T) {
 	}
 	if results != nil {
 		t.Errorf("results should be nil on error, got %v", results)
+	}
+}
+
+// panicSink panics on the first LGWR flush span, which the LGWR process
+// emits, and records the virtual time at which it did.
+type panicSink struct{ at sim.Time }
+
+func (s *panicSink) Emit(ev trace.Event) {
+	if s.at == 0 && ev.Cat == trace.CatLGWR && ev.Name == "flush" {
+		s.at = ev.Start.Add(ev.Dur)
+		panic("sink exploded")
+	}
+}
+
+// TestRunSpecsProcPanicIsRunError: a panic in one run's sim process
+// becomes that run's error, naming the process and the virtual time,
+// instead of killing the test binary.
+func TestRunSpecsProcPanicIsRunError(t *testing.T) {
+	sc := tinyScale()
+	sc.Duration = time.Minute
+	sink := &panicSink{}
+	specs := []Spec{
+		sc.spec("pool/ok", Table3Configs[0]),
+		sc.spec("pool/panic", Table3Configs[0]),
+	}
+	specs[1].Tracer = trace.New(sink)
+	results, err := RunSpecs(specs, 2, nil)
+	if err == nil {
+		t.Fatal("expected the panicking run's error")
+	}
+	if results != nil {
+		t.Errorf("results should be nil on error, got %v", results)
+	}
+	if sink.at == 0 {
+		t.Fatal("the sink never panicked")
+	}
+	var pp *sim.ProcPanic
+	if !errors.As(err, &pp) || pp.Proc != "LGWR" || pp.At != sink.at {
+		t.Fatalf("error does not wrap a *sim.ProcPanic from LGWR at %v: %v", sink.at, err)
+	}
+	for _, want := range []string{`run "pool/panic"`, `process "LGWR"`, "at " + sink.at.String(), "sink exploded"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q:\n%v", want, err)
+		}
 	}
 }
 

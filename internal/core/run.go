@@ -226,7 +226,6 @@ type Result struct {
 	Control *control.Controller
 
 	// Diagnostics for calibration and reports.
-	DebugLog     *redo.Manager // the primary instance's log (debug access)
 	ByType       map[tpcc.TxnType]int
 	LockWaits    int64
 	LockTimeouts int64
@@ -522,7 +521,6 @@ func Run(spec Spec) (*Result, error) {
 		res.Checkpoints = in.Stats().Checkpoints - ckptBase
 		res.RedoWritten = in.Log().Stats().FlushedBytes
 		res.LogStalls = in.Log().Stats().StallTime
-		res.DebugLog = in.Log()
 		res.Repository = in.Monitor()
 		res.ByType = make(map[tpcc.TxnType]int)
 		for _, c := range drv.Commits() {
@@ -589,12 +587,15 @@ func Run(spec Spec) (*Result, error) {
 		res.IntegrityViolations = viols
 		k.Stop()
 	})
-	k.Run(sim.Time(200 * time.Hour))
-	// Tear the simulation down completely: blocked background processes
-	// (LGWR waiting for work, PMON sleeping, stand-by MRP, ...) would
-	// otherwise leak their goroutines and keep the whole run's state
-	// reachable — across a campaign of dozens of runs that is an OOM.
-	k.KillAll()
+	// Finish tears the simulation down completely: blocked background
+	// processes (LGWR waiting for work, PMON sleeping, stand-by MRP, ...)
+	// would otherwise leak their coroutines and keep the whole run's state
+	// reachable — across a campaign of dozens of runs that is an OOM. A
+	// process panic becomes this run's error instead of killing the
+	// campaign.
+	if err := k.Finish(sim.Time(200 * time.Hour)); err != nil {
+		return nil, fmt.Errorf("core: run %q: %w", spec.Name, err)
+	}
 	if runErr != nil {
 		return nil, fmt.Errorf("core: run %q: %w", spec.Name, runErr)
 	}

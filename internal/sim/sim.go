@@ -1,11 +1,19 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock and runs simulated processes. A
-// process is an ordinary Go function executing on its own goroutine, but
-// exactly one process (or the kernel itself) runs at any instant: control is
-// handed off explicitly whenever a process blocks on Sleep, a Cond, or a
-// Resource. Events at equal virtual times fire in scheduling order, so runs
-// are fully reproducible.
+// process is an ordinary Go function running as an iter.Pull coroutine:
+// the kernel resumes it with the coroutine's next and it hands control
+// back through yield whenever it blocks on Sleep, a Cond, or a Resource,
+// so exactly one process (or the kernel itself) runs at any instant and
+// a switch is a direct coroutine hand-off, not a trip through the Go
+// scheduler. Events at equal virtual times fire in scheduling order, so
+// runs are fully reproducible.
+//
+// A panic in a process unwinds that process (its deferred functions
+// run) and then surfaces on the goroutine that called Run, RunAll or
+// KillAll as a *ProcPanic naming the process, the virtual time and the
+// original value and stack. Runners recover it into the run's error, so
+// one failing simulation does not take down a campaign of them.
 //
 // The kernel is the substrate for everything else in this repository: the
 // simulated disks, the database engine's background processes, the TPC-C
@@ -15,7 +23,9 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"time"
 )
@@ -80,6 +90,9 @@ type Kernel struct {
 	live    map[*Proc]struct{}
 	nextPID uint64
 	stopped bool
+	// free holds fired events for Schedule to reuse, so the steady
+	// state schedules without allocating.
+	free []*event
 }
 
 // NewKernel returns a kernel with its clock at zero and a deterministic
@@ -105,7 +118,26 @@ func (k *Kernel) Schedule(at Time, fn func()) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
 	}
 	k.seq++
-	heap.Push(&k.events, &event{at: at, seq: k.seq, fn: fn})
+	var e *event
+	if n := len(k.free); n > 0 {
+		e = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		e = new(event)
+	}
+	e.at, e.seq, e.fn = at, k.seq, fn
+	heap.Push(&k.events, e)
+}
+
+// fire advances the clock to e and runs its callback. e goes back on the
+// free list first, so the callback's own Schedule can reuse it and a
+// panic out of the callback does not lose it.
+func (k *Kernel) fire(e *event) {
+	k.now = e.at
+	fn := e.fn
+	e.fn = nil
+	k.free = append(k.free, e)
+	fn()
 }
 
 // After registers fn to run d from now.
@@ -125,14 +157,11 @@ func (k *Kernel) Stop() { k.stopped = true }
 func (k *Kernel) Run(until Time) Time {
 	k.stopped = false
 	for len(k.events) > 0 && !k.stopped {
-		next := k.events[0]
-		if next.at > until {
+		if k.events[0].at > until {
 			k.now = until
 			return k.now
 		}
-		heap.Pop(&k.events)
-		k.now = next.at
-		next.fn()
+		k.fire(heap.Pop(&k.events).(*event))
 	}
 	if k.now < until && !k.stopped {
 		k.now = until
@@ -144,16 +173,14 @@ func (k *Kernel) Run(until Time) Time {
 func (k *Kernel) RunAll() Time {
 	k.stopped = false
 	for len(k.events) > 0 && !k.stopped {
-		next := heap.Pop(&k.events).(*event)
-		k.now = next.at
-		next.fn()
+		k.fire(heap.Pop(&k.events).(*event))
 	}
 	return k.now
 }
 
 // KillAll terminates every live process (in creation order) and runs the
 // kernel until they have unwound. Call it when a simulation ends so that
-// blocked process goroutines — and everything their closures retain — can
+// blocked process coroutines — and everything their closures retain — can
 // be collected; otherwise each finished simulation leaks its whole state.
 func (k *Kernel) KillAll() {
 	procs := make([]*Proc, 0, len(k.live))
@@ -167,22 +194,74 @@ func (k *Kernel) KillAll() {
 	k.RunAll()
 }
 
+// Finish runs the simulation like Run and then tears it down with
+// KillAll. A process panic ends the run early: Finish kills the remaining
+// processes and returns the *ProcPanic as its error (the first one, should
+// killed processes panic again while unwinding). Any other panic
+// propagates.
+func (k *Kernel) Finish(until Time) error {
+	err := catch(func() {
+		k.Run(until)
+		k.KillAll()
+	})
+	if err != nil {
+		// Each panic during a KillAll ends only the process that raised
+		// it; kill again until one KillAll completes.
+		for catch(k.KillAll) != nil {
+		}
+	}
+	return err
+}
+
+// catch runs f and returns the *ProcPanic it panics with, re-raising any
+// other panic.
+func catch(f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			pp, ok := r.(*ProcPanic)
+			if !ok {
+				panic(r)
+			}
+			err = pp
+		}
+	}()
+	f()
+	return nil
+}
+
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return len(k.events) }
 
 // Procs reports the number of live processes (started and not finished).
 func (k *Kernel) Procs() int { return k.procs }
 
-// Proc is a simulated process: a goroutine that runs only when the kernel
-// hands it control and that yields control back whenever it blocks.
+// Proc is a simulated process: a coroutine that runs only when the kernel
+// resumes it and that yields control back whenever it blocks.
 type Proc struct {
-	k      *Kernel
-	name   string
-	pid    uint64
-	resume chan struct{}
-	yield  chan struct{}
+	k     *Kernel
+	name  string
+	pid   uint64
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// wake is the method value p.step, built once so that scheduling a
+	// wake-up does not allocate a closure.
+	wake   func()
 	done   bool
 	killed bool
+}
+
+// ProcPanic is the value Run, RunAll and KillAll panic with when a
+// process panics: the process has unwound (its deferred functions ran)
+// and the kernel's clock stands at the instant of the panic.
+type ProcPanic struct {
+	Proc  string // process name given to Go
+	At    Time   // virtual time of the panic
+	Value any    // the value the process panicked with
+	Stack []byte // the process's stack at the panic
+}
+
+func (e *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: process %q panicked at %v: %v\n%s", e.Proc, e.At, e.Value, e.Stack)
 }
 
 // Go starts fn as a simulated process. fn begins executing at the current
@@ -190,54 +269,47 @@ type Proc struct {
 // on its Proc. Go itself never blocks.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	k.nextPID++
-	p := &Proc{
-		k:      k,
-		name:   name,
-		pid:    k.nextPID,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name, pid: k.nextPID}
+	p.wake = p.step
 	k.procs++
 	k.live[p] = struct{}{}
-	go func() {
-		<-p.resume
+	// The coroutine's stop is not kept: a process ends by returning or
+	// through Kill, both of which run it to completion.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.done = true
 			k.procs--
 			delete(k.live, p)
 			if r := recover(); r != nil {
 				if _, ok := r.(killSignal); ok {
-					p.yield <- struct{}{}
 					return
 				}
-				panic(r)
+				panic(&ProcPanic{Proc: name, At: k.now, Value: r, Stack: debug.Stack()})
 			}
-			p.yield <- struct{}{}
 		}()
 		fn(p)
-	}()
-	k.After(0, func() { p.step() })
+	})
+	k.After(0, p.wake)
 	return p
 }
 
 type killSignal struct{}
 
-// step transfers control to the process goroutine and waits for it to block
-// or finish. It runs on the kernel's goroutine.
+// step resumes the process and returns when it blocks or finishes. It
+// runs on the kernel's goroutine; a panic in the process comes out of it.
 func (p *Proc) step() {
 	if p.done {
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
 }
 
-// block suspends the process goroutine and returns control to the kernel.
-// It must be called from the process goroutine. The process resumes when
-// some event calls step.
+// block suspends the process and returns control to the kernel. It must
+// be called from the process itself. The process resumes when some event
+// calls step.
 func (p *Proc) block() {
-	p.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.killed {
 		panic(killSignal{})
 	}
@@ -260,7 +332,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.Schedule(p.k.now.Add(d), p.step)
+	p.k.Schedule(p.k.now.Add(d), p.wake)
 	p.block()
 }
 
@@ -277,7 +349,7 @@ func (p *Proc) Kill() {
 		return
 	}
 	p.killed = true
-	p.k.After(0, p.step)
+	p.k.After(0, p.wake)
 }
 
 // Cond is a condition variable for simulated processes. The zero value is
@@ -300,13 +372,13 @@ func (c *Cond) Signal(k *Kernel) {
 	}
 	w := c.waiters[0]
 	c.waiters = c.waiters[1:]
-	k.After(0, w.step)
+	k.After(0, w.wake)
 }
 
 // Broadcast wakes all waiters in FIFO order.
 func (c *Cond) Broadcast(k *Kernel) {
 	for _, w := range c.waiters {
-		k.After(0, w.step)
+		k.After(0, w.wake)
 	}
 	c.waiters = nil
 }

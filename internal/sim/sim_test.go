@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -241,6 +244,127 @@ func TestKillFinishedProcIsNoop(t *testing.T) {
 	if k.Procs() != 0 {
 		t.Fatalf("procs = %d", k.Procs())
 	}
+}
+
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	k := NewKernel(1)
+	unwound := false
+	k.Go("doomed", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Sleep(3 * time.Second)
+		panic("boom")
+	})
+	bystander := k.Go("bystander", func(p *Proc) { p.Sleep(time.Hour) })
+	var pp *ProcPanic
+	func() {
+		defer func() { pp, _ = recover().(*ProcPanic) }()
+		k.Run(Time(time.Minute))
+	}()
+	if pp == nil {
+		t.Fatal("Run did not panic with a *ProcPanic")
+	}
+	if pp.Proc != "doomed" || pp.At != Time(3*time.Second) || pp.Value != "boom" {
+		t.Fatalf("ProcPanic = {%q %v %v}, want {doomed 3s boom}", pp.Proc, pp.At, pp.Value)
+	}
+	if !strings.Contains(string(pp.Stack), "TestProcPanicSurfacesFromRun") {
+		t.Fatalf("stack does not reach the panicking function:\n%s", pp.Stack)
+	}
+	for _, want := range []string{`"doomed"`, "3s", "boom", "TestProcPanicSurfacesFromRun"} {
+		if !strings.Contains(pp.Error(), want) {
+			t.Fatalf("Error() = %q, missing %q", pp.Error(), want)
+		}
+	}
+	if !unwound {
+		t.Fatal("the panicking process's defers did not run")
+	}
+	// The kernel stays usable: the other process can still be torn down.
+	k.KillAll()
+	if !bystander.Done() || k.Procs() != 0 {
+		t.Fatalf("after KillAll: bystander done=%v, procs=%d", bystander.Done(), k.Procs())
+	}
+}
+
+func TestFinishReturnsFirstProcPanic(t *testing.T) {
+	k := NewKernel(1)
+	k.Go("first", func(p *Proc) {
+		p.Sleep(time.Second)
+		panic("first")
+	})
+	k.Go("second", func(p *Proc) {
+		defer func() { panic("second, while unwinding") }()
+		p.Sleep(time.Hour)
+	})
+	k.Go("third", func(p *Proc) { p.Sleep(time.Hour) })
+	err := k.Finish(Time(time.Minute))
+	var pp *ProcPanic
+	if !errors.As(err, &pp) || pp.Proc != "first" || pp.At != Time(time.Second) {
+		t.Fatalf("Finish = %v, want the *ProcPanic of \"first\" at 1s", err)
+	}
+	if k.Procs() != 0 {
+		t.Fatalf("procs = %d after Finish, want 0", k.Procs())
+	}
+	if err := NewKernel(1).Finish(Time(time.Minute)); err != nil {
+		t.Fatalf("Finish on a clean run = %v", err)
+	}
+	// A panic that is not a process's propagates unchanged.
+	k = NewKernel(1)
+	k.After(time.Second, func() { panic("kernel callback") })
+	defer func() {
+		if r := recover(); r != "kernel callback" {
+			t.Fatalf("recovered %v, want the callback's own panic", r)
+		}
+	}()
+	k.Finish(Time(time.Minute))
+}
+
+func TestKillAllReleasesEveryCoroutine(t *testing.T) {
+	start := runtime.NumGoroutine()
+	k := NewKernel(1)
+	var c Cond
+	for i := 0; i < 100; i++ {
+		if i%2 == 0 {
+			k.Go("waiter", func(p *Proc) { c.Wait(p) })
+		} else {
+			k.Go("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
+		}
+	}
+	k.Run(Time(time.Second))
+	if k.Procs() != 100 || c.Waiting() != 50 {
+		t.Fatalf("procs = %d, cond waiters = %d; want 100 and 50", k.Procs(), c.Waiting())
+	}
+	// Each blocked process holds a goroutine (the slack allows for
+	// runtime or test-framework goroutines ending meanwhile).
+	if n := runtime.NumGoroutine(); n < start+90 {
+		t.Fatalf("goroutines = %d with 100 blocked processes, started at %d", n, start)
+	}
+	k.KillAll()
+	if k.Procs() != 0 {
+		t.Fatalf("procs = %d after KillAll", k.Procs())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Fatalf("goroutines = %d after KillAll, want %d", n, start)
+	}
+}
+
+// BenchmarkProcSwitch measures one Sleep(0) round trip between two
+// processes: the process yields, the kernel fires the other's wake-up
+// event and resumes it. CI fails if it allocates.
+func BenchmarkProcSwitch(b *testing.B) {
+	k := NewKernel(1)
+	for _, n := range []int{(b.N + 1) / 2, b.N / 2} {
+		k.Go("ping", func(p *Proc) {
+			for range n {
+				p.Sleep(0)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.RunAll()
 }
 
 func TestDeterministicRand(t *testing.T) {
